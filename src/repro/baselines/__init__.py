@@ -10,11 +10,11 @@ from .masks import (
     apply_element_masks,
     kept_entries,
     lstm_unit_masks,
-    mask_element_gradients,
+    masked_start,
     mlp_unit_masks,
     ordered_keep,
     random_keep,
-    run_masked_element_sgd,
+    scale_kept_entries,
 )
 from .registry import METHOD_NAMES, make_method, register_method
 
@@ -31,11 +31,11 @@ __all__ = [
     "apply_element_masks",
     "kept_entries",
     "lstm_unit_masks",
-    "mask_element_gradients",
+    "masked_start",
     "mlp_unit_masks",
     "ordered_keep",
     "random_keep",
-    "run_masked_element_sgd",
+    "scale_kept_entries",
     "METHOD_NAMES",
     "make_method",
     "register_method",

@@ -22,10 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..fl.aggregation import ClientPayload
-from ..fl.client import ClientContext, ClientUpdate, FederatedMethod
+from ..fl.client import ClientContext, ClientUpdate, FederatedMethod, LocalStart
 from ..fl.parameters import ParamSet
 from ..fl.sizing import FLOAT_BITS
 from ..nn.models import MLPClassifier, WordLSTM
+from .masks import inverted_dropout_scale, masked_start
 
 __all__ = ["AFD"]
 
@@ -89,34 +90,15 @@ class AFD(FederatedMethod):
             masks[name] = mask
         return masks
 
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
-        model = ctx.model
-        ctx.global_params.to_module(model)
-        masks = self.select_masks(ctx.rng)
-        rowspace = self.rowspace
-        p_rate = ctx.config.dropout_rate
-        scale = 1.0 / (1.0 - p_rate) if p_rate > 0 else 1.0
-        for name, p in model.named_parameters():
-            mask = masks.get(name)
-            if mask is not None:
-                p.data[~mask, :] = 0.0
-                p.data[mask, :] *= scale
-        optimizer = self.make_optimizer(model)
-        losses = []
-        for _ in range(ctx.config.local_iterations):
-            batch = ctx.batcher.next_batch()
-            optimizer.zero_grad()
-            loss = model.loss(batch)
-            loss.backward()
-            rowspace.mask_model_gradients(model, masks)
-            optimizer.step()
-            rowspace.zero_dropped_rows(model, masks)
-            losses.append(loss.item())
-        for name, p in model.named_parameters():
-            mask = masks.get(name)
-            if mask is not None:
-                p.data[mask, :] /= scale
-        params = ParamSet.from_module(model)
+    def start_client(self, ctx: ClientContext) -> LocalStart:
+        scale = inverted_dropout_scale(ctx.config.dropout_rate)
+        return masked_start(ctx.global_params, self.select_masks(ctx.rng), scale)
+
+    def finish_client(self, ctx, start, trained, losses) -> ClientUpdate:
+        masks, params = start.masks, trained
+        scale = inverted_dropout_scale(ctx.config.dropout_rate)
+        for name, mask in masks.items():
+            params[name][mask, :] /= scale
         payload = ClientPayload(params=params, weight=float(ctx.n_samples), masks=masks)
         kept = 0
         for name, value in params.items():

@@ -9,8 +9,7 @@ upload size.
 from __future__ import annotations
 
 from ..fl.aggregation import ClientPayload
-from ..fl.client import ClientContext, ClientUpdate, FederatedMethod, run_local_sgd
-from ..fl.parameters import ParamSet
+from ..fl.client import ClientContext, ClientUpdate, FederatedMethod, LocalStart
 from ..fl.sizing import dense_bits
 
 __all__ = ["FedAvg"]
@@ -22,15 +21,13 @@ class FedAvg(FederatedMethod):
     name = "fedavg"
     drops_recurrent = False
 
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
-        model = ctx.model
-        ctx.global_params.to_module(model)
-        optimizer = self.make_optimizer(model)
-        losses = run_local_sgd(model, optimizer, ctx.batcher, ctx.config.local_iterations)
-        params = ParamSet.from_module(model)
-        payload = ClientPayload(params=params, weight=float(ctx.n_samples))
+    def start_client(self, ctx: ClientContext) -> LocalStart:
+        return LocalStart(params=ctx.global_params)
+
+    def finish_client(self, ctx, start, trained, losses) -> ClientUpdate:
+        payload = ClientPayload(params=trained, weight=float(ctx.n_samples))
         return ClientUpdate(
             payload=payload,
-            upload_bits=dense_bits(params),
+            upload_bits=dense_bits(trained),
             train_losses=losses,
         )

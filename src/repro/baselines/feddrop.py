@@ -19,16 +19,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..fl.aggregation import ClientPayload
-from ..fl.client import ClientContext, ClientUpdate, FederatedMethod
-from ..fl.parameters import ParamSet
+from ..fl.client import ClientContext, ClientUpdate, FederatedMethod, LocalStart
 from ..fl.sizing import FLOAT_BITS
 from ..nn.models import MLPClassifier, WordLSTM
 from .masks import (
+    inverted_dropout_scale,
     kept_entries,
     lstm_unit_masks,
+    masked_start,
     mlp_unit_masks,
     random_keep,
-    run_masked_element_sgd,
     scale_kept_entries,
 )
 
@@ -67,18 +67,13 @@ class FedDrop(FederatedMethod):
             return lstm_unit_masks(model, hidden, embedding_row_mask=embed_mask)
         raise TypeError(f"FedDrop does not support model {type(model).__name__}")
 
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
-        model = ctx.model
-        ctx.global_params.to_module(model)
-        masks = self.sample_masks(ctx)
-        optimizer = self.make_optimizer(model)
-        p = ctx.config.dropout_rate
-        scale = 1.0 / (1.0 - p) if p > 0 else 1.0
-        losses = run_masked_element_sgd(
-            model, optimizer, ctx.batcher, ctx.config.local_iterations, masks, scale=scale
-        )
-        scale_kept_entries(model, masks, 1.0 / scale)
-        params = ParamSet.from_module(model)
+    def start_client(self, ctx: ClientContext) -> LocalStart:
+        scale = inverted_dropout_scale(ctx.config.dropout_rate)
+        return masked_start(ctx.global_params, self.sample_masks(ctx), scale)
+
+    def finish_client(self, ctx, start, trained, losses) -> ClientUpdate:
+        masks, params = start.masks, trained
+        scale_kept_entries(params, masks, 1.0 / inverted_dropout_scale(ctx.config.dropout_rate))
         payload = ClientPayload(params=params, weight=float(ctx.n_samples), masks=masks)
         # server-chosen masks: the uplink carries kept values only
         bits = FLOAT_BITS * kept_entries(masks, params)

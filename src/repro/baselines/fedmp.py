@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..fl.aggregation import ClientPayload
-from ..fl.client import ClientContext, ClientUpdate, FederatedMethod, run_local_sgd
+from ..fl.client import ClientContext, ClientUpdate, FederatedMethod, LocalStart
 from ..fl.parameters import ParamSet
 from ..fl.sizing import element_masked_bits
 
@@ -53,13 +53,12 @@ class FedMP(FederatedMethod):
     name = "fedmp"
     drops_recurrent = True  # magnitude pruning applies to any matrix
 
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
-        model = ctx.model
-        ctx.global_params.to_module(model)
-        optimizer = self.make_optimizer(model)
-        losses = run_local_sgd(model, optimizer, ctx.batcher, ctx.config.local_iterations)
-        params = ParamSet.from_module(model)
-        prunable = {name for name, p in model.named_parameters() if p.droppable}
+    def start_client(self, ctx: ClientContext) -> LocalStart:
+        return LocalStart(params=ctx.global_params)
+
+    def finish_client(self, ctx, start, trained, losses) -> ClientUpdate:
+        params = trained
+        prunable = {name for name, p in ctx.model.named_parameters() if p.droppable}
         masks = magnitude_masks(params, ctx.config.dropout_rate, prunable)
         pruned = ParamSet(
             {

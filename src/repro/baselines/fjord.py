@@ -22,17 +22,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..fl.aggregation import ClientPayload
-from ..fl.client import ClientContext, ClientUpdate, FederatedMethod
-from ..fl.parameters import ParamSet
+from ..fl.client import ClientContext, ClientUpdate, FederatedMethod, LocalStart
 from ..fl.sizing import FLOAT_BITS
 from ..nn.models import MLPClassifier, WordLSTM
 from .feddrop import model_hidden_widths
 from .masks import (
     kept_entries,
     lstm_unit_masks,
+    masked_start,
     mlp_unit_masks,
     ordered_keep,
-    run_masked_element_sgd,
 )
 
 __all__ = ["Fjord", "ordered_model_masks"]
@@ -78,16 +77,14 @@ class Fjord(FederatedMethod):
         menu = self.width_menu(ctx.config.dropout_rate)
         return menu[(ctx.client_id + ctx.round_index) % len(menu)]
 
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
-        model = ctx.model
-        ctx.global_params.to_module(model)
+    def start_client(self, ctx: ClientContext) -> LocalStart:
         width = self.client_width(ctx)
-        masks = ordered_model_masks(model, width)
-        optimizer = self.make_optimizer(model)
-        losses = run_masked_element_sgd(
-            model, optimizer, ctx.batcher, ctx.config.local_iterations, masks
-        )
-        params = ParamSet.from_module(model)
+        start = masked_start(ctx.global_params, ordered_model_masks(ctx.model, width))
+        start.aux["width"] = width
+        return start
+
+    def finish_client(self, ctx, start, trained, losses) -> ClientUpdate:
+        masks, params, width = start.masks, trained, start.aux["width"]
         payload = ClientPayload(params=params, weight=float(ctx.n_samples), masks=masks)
         # the sub-model width determines the structure; no mask bits travel
         bits = FLOAT_BITS * kept_entries(masks, params)

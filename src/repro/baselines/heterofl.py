@@ -15,11 +15,10 @@ which lands the mean save ratio in the paper's 1.4-1.6x band.
 from __future__ import annotations
 
 from ..fl.aggregation import ClientPayload
-from ..fl.client import ClientContext, ClientUpdate, FederatedMethod
-from ..fl.parameters import ParamSet
+from ..fl.client import ClientContext, ClientUpdate, FederatedMethod, LocalStart
 from ..fl.sizing import FLOAT_BITS
 from .fjord import ordered_model_masks
-from .masks import kept_entries, run_masked_element_sgd
+from .masks import kept_entries, masked_start
 
 __all__ = ["HeteroFL"]
 
@@ -44,16 +43,14 @@ class HeteroFL(FederatedMethod):
         levels = self.resolved_levels()
         return levels[client_id % len(levels)]
 
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
-        model = ctx.model
-        ctx.global_params.to_module(model)
+    def start_client(self, ctx: ClientContext) -> LocalStart:
         width = self.client_width(ctx.client_id)
-        masks = ordered_model_masks(model, width)
-        optimizer = self.make_optimizer(model)
-        losses = run_masked_element_sgd(
-            model, optimizer, ctx.batcher, ctx.config.local_iterations, masks
-        )
-        params = ParamSet.from_module(model)
+        start = masked_start(ctx.global_params, ordered_model_masks(ctx.model, width))
+        start.aux["width"] = width
+        return start
+
+    def finish_client(self, ctx, start, trained, losses) -> ClientUpdate:
+        masks, params, width = start.masks, trained, start.aux["width"]
         payload = ClientPayload(params=params, weight=float(ctx.n_samples), masks=masks)
         bits = FLOAT_BITS * kept_entries(masks, params)
         return ClientUpdate(

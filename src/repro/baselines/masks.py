@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..fl.client import LocalStart
 from ..nn.models import MLPClassifier, WordLSTM
 
 __all__ = [
@@ -25,6 +26,10 @@ __all__ = [
     "random_keep",
     "mlp_unit_masks",
     "lstm_unit_masks",
+    "apply_element_masks",
+    "scale_kept_entries",
+    "inverted_dropout_scale",
+    "masked_start",
     "kept_entries",
 ]
 
@@ -132,64 +137,42 @@ def lstm_unit_masks(
     return masks
 
 
-def apply_element_masks(model, masks: dict[str, np.ndarray]) -> None:
-    """Zero the dropped entries of the live model in place."""
-    for name, p in model.named_parameters():
-        mask = masks.get(name)
-        if mask is not None:
-            p.data[~mask] = 0.0
+def apply_element_masks(params, masks: dict[str, np.ndarray]) -> None:
+    """Zero the dropped entries of ``params`` (name -> array) in place."""
+    for name, mask in masks.items():
+        params[name][~mask] = 0.0
 
 
-def mask_element_gradients(model, masks: dict[str, np.ndarray]) -> None:
-    """Zero gradients of dropped entries in place."""
-    for name, p in model.named_parameters():
-        mask = masks.get(name)
-        if mask is not None and p.grad is not None:
-            p.grad *= mask
-
-
-def scale_kept_entries(model, masks: dict[str, np.ndarray], factor: float) -> None:
-    """Multiply the kept (masked-in) entries of the live model in place.
+def scale_kept_entries(params, masks: dict[str, np.ndarray], factor: float) -> None:
+    """Multiply the kept (masked-in) entries of ``params`` in place.
 
     Used for inverted-dropout rescaling: train at ``1/(1-p)``, divide
     back before upload.
     """
     if factor == 1.0:
         return
-    for name, p in model.named_parameters():
-        mask = masks.get(name)
-        if mask is not None:
-            p.data[mask] *= factor
+    for name, mask in masks.items():
+        params[name][mask] *= factor
 
 
-def run_masked_element_sgd(
-    model,
-    optimizer,
-    batcher,
-    iterations: int,
-    masks: dict[str, np.ndarray],
-    scale: float = 1.0,
-) -> list[float]:
-    """Local SGD under elementwise masks (sub-model training).
+def inverted_dropout_scale(dropout_rate: float) -> float:
+    """``1/(1-p)``: kept units train scaled so expected activations match."""
+    return 1.0 / (1.0 - dropout_rate) if dropout_rate > 0 else 1.0
 
-    The elementwise analogue of :func:`repro.fl.client.run_local_sgd`:
-    dropped entries stay pinned at zero through the whole round.  With
-    ``scale`` given, kept entries train at that multiple (inverted
-    dropout); callers divide back before uploading.
+
+def masked_start(
+    global_params, masks: dict[str, np.ndarray], scale: float = 1.0
+) -> LocalStart:
+    """A sub-model client's start under row or elementwise ``masks``.
+
+    Dropped entries start (and, through the cohort loop's mask pass,
+    stay) at zero; with ``scale`` given, kept entries train at that
+    multiple (inverted dropout) and the finish divides back.
     """
-    apply_element_masks(model, masks)
-    scale_kept_entries(model, masks, scale)
-    losses: list[float] = []
-    for _ in range(iterations):
-        batch = batcher.next_batch()
-        optimizer.zero_grad()
-        loss = model.loss(batch)
-        loss.backward()
-        mask_element_gradients(model, masks)
-        optimizer.step()
-        apply_element_masks(model, masks)
-        losses.append(loss.item())
-    return losses
+    params = global_params.clone()
+    apply_element_masks(params, masks)
+    scale_kept_entries(params, masks, scale)
+    return LocalStart(params=params, masks=masks)
 
 
 def kept_entries(masks: dict[str, np.ndarray], params) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..fl.aggregation import ClientPayload
-from ..fl.client import ClientContext, ClientUpdate, FederatedMethod
+from ..fl.client import ClientContext, ClientUpdate, FederatedMethod, LocalStart
 from ..fl.parameters import ParamSet
 from .base import Compressor
 
@@ -62,8 +62,11 @@ class SketchedMethod(FederatedMethod):
             return self.rowspace.total_rows
         return 0
 
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
-        update = self.base.client_update(ctx)
+    def start_client(self, ctx: ClientContext) -> LocalStart:
+        return self.base.start_client(ctx)
+
+    def finish_client(self, ctx, start, trained, losses) -> ClientUpdate:
+        update = self.base.finish_client(ctx, start, trained, losses)
         allowed = self._allowed_masks(update)
         delta = update.payload.params - ctx.global_params
         state = ctx.state.setdefault("sketch", {})

@@ -19,10 +19,12 @@ normalization discussed in DESIGN.md §1).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..fl.aggregation import ClientPayload
-from ..fl.client import ClientContext, ClientUpdate, FederatedMethod
+from ..fl.client import ClientContext, ClientUpdate, FederatedMethod, LocalStart
 from ..fl.parameters import ParamSet
 from .adaptive import LossTrendTracker
 from .scores import WeightScores
@@ -123,43 +125,42 @@ class FedBIAD(FederatedMethod):
         p = self.config.dropout_rate
         return 1.0 / (1.0 - p) if (self.rescale and p > 0.0) else 1.0
 
-    def _apply_pattern_to_model(
-        self, u: ParamSet, model, masks: dict[str, np.ndarray]
+    def _apply_pattern(
+        self, u: ParamSet, arrays, masks: dict[str, np.ndarray]
     ) -> None:
-        """Load ``beta ∘ U`` into the live model (scaled for training)."""
+        """Load ``beta ∘ U`` into ``arrays`` (scaled for training).
+
+        ``arrays`` maps names to writable arrays: a fresh start or a
+        client's live views in the cohort stack.
+        """
         factor = self._scale_factor()
-        u.to_module(model)
-        for name, p in model.named_parameters():
+        for name, value in arrays.items():
+            value[...] = u[name]
             mask = masks.get(name)
             if mask is not None:
-                p.data[~mask, :] = 0.0
+                value[~mask, :] = 0.0
                 if factor != 1.0:
-                    p.data[mask, :] *= factor
+                    value[mask, :] *= factor
 
-    def _sync_kept_rows(self, u: ParamSet, model, masks: dict[str, np.ndarray]) -> None:
+    def _sync_kept_rows(self, u: ParamSet, arrays, masks: dict[str, np.ndarray]) -> None:
         """Fold trained values back into the variational parameters U.
 
-        Kept rows and dense parameters take the model's current values
+        Kept rows and dense parameters take the trained values
         (un-scaled); dropped rows keep their U entries so a later
         pattern can revive them (Eq. 4: dropped rows still have
         variational parameters).
         """
         factor = self._scale_factor()
-        for name, p in model.named_parameters():
+        for name, value in arrays.items():
             mask = masks.get(name)
             if mask is None:
-                u[name][...] = p.data
+                u[name][...] = value
             else:
-                u[name][mask] = p.data[mask] / factor
+                u[name][mask] = value[mask] / factor
 
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
+    def start_client(self, ctx: ClientContext) -> LocalStart:
         cfg = ctx.config
         rowspace = self.rowspace
-        in_stage_one = (
-            not self.use_stage2
-            or not self.adaptive
-            or ctx.round_index <= cfg.resolved_stage_boundary
-        )
 
         # --- line 9: Bayesian initialization -------------------------
         std = self.posterior_std(ctx.round_index)
@@ -167,55 +168,91 @@ class FedBIAD(FederatedMethod):
 
         scores: WeightScores = ctx.state.get("scores") or WeightScores(rowspace.total_rows)
         beta = self._initial_pattern(ctx, scores)
-        masks = rowspace.split(beta)
+        run = _PatternRun(
+            method=self,
+            ctx=ctx,
+            std=std,
+            u=u,
+            beta=beta,
+            masks=rowspace.split(beta),
+            scores=scores,
+            tracker=LossTrendTracker(cfg.tau),
+            in_stage_one=(
+                not self.use_stage2
+                or not self.adaptive
+                or ctx.round_index <= cfg.resolved_stage_boundary
+            ),
+        )
+        params = u.clone()
+        self._apply_pattern(u, params, run.masks)
+        return LocalStart(
+            params=params,
+            masks=run.masks,
+            on_iteration=run.on_iteration,
+            aux={"run": run},
+        )
 
-        model = ctx.model
-        self._apply_pattern_to_model(u, model, masks)
-        optimizer = self.make_optimizer(model)
-        tracker = LossTrendTracker(cfg.tau)
-        n_resamples = 0
-
-        # --- lines 15-27: masked local iterations --------------------
-        for v in range(cfg.local_iterations):
-            batch = ctx.batcher.next_batch()
-            optimizer.zero_grad()
-            loss = model.loss(batch)
-            loss.backward()
-            rowspace.mask_model_gradients(model, masks)
-            optimizer.step()
-            rowspace.zero_dropped_rows(model, masks)
-            tracker.record(loss.item())
-
-            last_iteration = v == cfg.local_iterations - 1
-            if in_stage_one and tracker.is_judgment_point() and not last_iteration:
-                delta = tracker.delta()
-                if self.adaptive and delta <= 0.0:
-                    new_beta = beta
-                else:
-                    new_beta = rowspace.sample_pattern(cfg.dropout_rate, ctx.rng)
-                scores.update(beta, delta, new_beta)
-                if new_beta is not beta:
-                    n_resamples += 1
-                    self._sync_kept_rows(u, model, masks)
-                    beta = new_beta
-                    masks = rowspace.split(beta)
-                    self._apply_pattern_to_model(u, model, masks)
-
-        ctx.state["scores"] = scores
+    def finish_client(self, ctx, start, trained, losses) -> ClientUpdate:
+        run: _PatternRun = start.aux["run"]
+        rowspace = self.rowspace
+        ctx.state["scores"] = run.scores
 
         # --- line 28 + overview steps 3-4: wire round-trip -----------
-        self._sync_kept_rows(u, model, masks)
-        final_params = rowspace.apply_pattern(u, beta)
-        upload = pack_upload(final_params, rowspace, beta)
+        self._sync_kept_rows(run.u, trained, run.masks)
+        final_params = rowspace.apply_pattern(run.u, run.beta)
+        upload = pack_upload(final_params, rowspace, run.beta)
         reconstructed = reconstruct_upload(upload, rowspace, final_params)
         payload = ClientPayload(
             params=reconstructed,
             weight=float(ctx.n_samples),
-            masks=masks,
+            masks=run.masks,
         )
         return ClientUpdate(
             payload=payload,
             upload_bits=upload.bits(final_params, rowspace),
-            train_losses=tracker.losses,
-            aux={"pattern": beta, "n_resamples": n_resamples, "posterior_std": std},
+            train_losses=run.tracker.losses,
+            aux={
+                "pattern": run.beta,
+                "n_resamples": run.n_resamples,
+                "posterior_std": run.std,
+            },
         )
+
+
+@dataclass
+class _PatternRun:
+    """One client's pattern state through a round (lines 15-27)."""
+
+    method: FedBIAD
+    ctx: ClientContext
+    std: float  # the Bayesian initialization's posterior std
+    u: ParamSet
+    beta: np.ndarray
+    masks: dict[str, np.ndarray]
+    scores: WeightScores
+    tracker: LossTrendTracker
+    in_stage_one: bool
+    n_resamples: int = 0
+
+    def on_iteration(self, v: int, loss: float, live: dict[str, np.ndarray]):
+        """Every ``tau`` stage-one iterations: judge the loss trend (Eq. 8),
+        resample a worsening pattern, update the scores (Eq. 9)."""
+        method, cfg = self.method, self.ctx.config
+        self.tracker.record(loss)
+        last_iteration = v == cfg.local_iterations - 1
+        if not (self.in_stage_one and self.tracker.is_judgment_point()) or last_iteration:
+            return None
+        delta = self.tracker.delta()
+        if method.adaptive and delta <= 0.0:
+            new_beta = self.beta
+        else:
+            new_beta = method.rowspace.sample_pattern(cfg.dropout_rate, self.ctx.rng)
+        self.scores.update(self.beta, delta, new_beta)
+        if new_beta is self.beta:
+            return None
+        self.n_resamples += 1
+        method._sync_kept_rows(self.u, live, self.masks)
+        self.beta = new_beta
+        self.masks = method.rowspace.split(new_beta)
+        method._apply_pattern(self.u, live, self.masks)
+        return self.masks

@@ -46,6 +46,11 @@ class ImageBatcher:
         idx = self.rng.choice(self.x.shape[0], size=self.batch_size, replace=False)
         return self.x[idx], self.y[idx]
 
+    def probe_batch(self) -> tuple[np.ndarray, np.ndarray]:
+        """A batch of ``next_batch``'s shape drawn without the RNG (the
+        first samples), for sizing work before training starts."""
+        return self.x[: self.batch_size], self.y[: self.batch_size]
+
 
 class SequenceBatcher:
     """Draws random BPTT windows from a client's token stream.
@@ -80,6 +85,12 @@ class SequenceBatcher:
         starts = self.rng.integers(0, max_start + 1, size=self.batch_size)
         offsets = np.arange(self.seq_len)
         idx = starts[:, None] + offsets[None, :]
+        return self.stream[idx], self.stream[idx + 1]
+
+    def probe_batch(self) -> tuple[np.ndarray, np.ndarray]:
+        """A batch of ``next_batch``'s shape drawn without the RNG (every
+        window at the stream start), for sizing work before training."""
+        idx = np.broadcast_to(np.arange(self.seq_len), (self.batch_size, self.seq_len))
         return self.stream[idx], self.stream[idx + 1]
 
 

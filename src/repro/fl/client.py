@@ -1,23 +1,34 @@
-"""Client-side machinery: the method interface and local SGD loops.
+"""Client-side machinery: the method interface and the local SGD loop.
 
 A *federated method* (FedBIAD or a baseline) plugs into the simulation
-through three hooks:
+through four hooks:
 
 * :meth:`FederatedMethod.setup` — called once with the shared model;
-* :meth:`FederatedMethod.client_update` — runs one client's round and
-  returns a :class:`ClientUpdate`;
+* :meth:`FederatedMethod.start_client` — one client's start of a round:
+  the parameters its local model begins from, the keep masks pinned
+  through training, and an optional per-iteration hook
+  (:class:`LocalStart`);
+* :meth:`FederatedMethod.finish_client` — turns the client's trained
+  parameters and losses into a :class:`ClientUpdate`;
 * :meth:`FederatedMethod.aggregate` — combines updates into the next
   global parameters (defaults to the masked weighted mean of
   :mod:`repro.fl.aggregation`).
 
-The shared local-training loop (:func:`run_local_sgd`) implements the
-masked update rule of Eq. (7): gradients of dropped rows are zeroed, and
-dropped rows are pinned to zero after every step so momentum or weight
-decay cannot resurrect them.
+Local training itself is not a method hook: :func:`train_cohort` runs a
+chunk of clients as one *cohort stack* (:meth:`repro.nn.Module.stack`),
+and :func:`run_cohort_sgd` — the single local-training loop — does one
+forward, one backward, one SGD step and one mask pass per iteration
+for the whole chunk.  It implements the masked update rule of Eq. (7):
+gradients of dropped rows are zeroed, and dropped rows are pinned to
+zero after every step so momentum or weight decay cannot resurrect
+them.  Everything stochastic stays per client, in the same order on
+each client's own RNG stream as a one-client run.
 """
 
 from __future__ import annotations
 
+import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,13 +36,29 @@ import numpy as np
 
 from ..nn.module import Module
 from ..nn.optim import SGD
+from ..nn.tensor import Tensor
 from .aggregation import ClientPayload, aggregate
 from .config import FLConfig
 from .parameters import ParamSet
 from .rows import RowSpace
 from .sizing import dense_bits
 
-__all__ = ["ClientContext", "ClientUpdate", "FederatedMethod", "run_local_sgd"]
+__all__ = [
+    "ClientContext",
+    "ClientUpdate",
+    "FederatedMethod",
+    "LocalStart",
+    "batch_shape",
+    "chunk_size",
+    "run_cohort_sgd",
+    "train_cohort",
+]
+
+#: Byte budget of one cohort chunk's working set.  The chunk size is the
+#: largest client count whose measured per-client working set fits it
+#: (floor 1): dozens of clients for a small MLP, one for a PTB-sized
+#: word LSTM.  Not a knob; tests override it to force chunk sizes.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -41,7 +68,7 @@ class ClientContext:
     client_id: int
     round_index: int  # 1-based, as in Algorithm 1
     global_params: ParamSet
-    model: Module
+    model: Module  # the shared one-client model; training runs on a stack of it
     batcher: object  # ImageBatcher | SequenceBatcher
     config: FLConfig
     rng: np.random.Generator
@@ -66,6 +93,25 @@ class ClientUpdate:
         return float(np.mean(self.train_losses)) if self.train_losses else float("nan")
 
 
+@dataclass
+class LocalStart:
+    """A client's start of a round: where its local training begins.
+
+    ``params`` is the local model training starts from (already masked
+    and scaled as it should train).  ``masks`` are keep masks pinned
+    through the round: row masks ``(rows,)`` or elementwise masks of
+    the parameter's shape.  ``on_iteration(v, loss, live)`` runs after
+    every step with the client's live parameter views; it may rewrite
+    them and returns new masks to switch patterns mid-round, or
+    ``None``.  ``aux`` carries whatever the method's finish needs.
+    """
+
+    params: ParamSet
+    masks: dict[str, np.ndarray] | None = None
+    on_iteration: Callable[[int, float, dict[str, np.ndarray]], dict | None] | None = None
+    aux: dict = field(default_factory=dict)
+
+
 class FederatedMethod:
     """Base class for FedBIAD and all baselines."""
 
@@ -86,8 +132,23 @@ class FederatedMethod:
         self.task = task
         self.config = config
 
-    def client_update(self, ctx: ClientContext) -> ClientUpdate:
+    def start_client(self, ctx: ClientContext) -> LocalStart:
+        """One client's start of a round (initial params, masks, hook)."""
         raise NotImplementedError
+
+    def finish_client(
+        self,
+        ctx: ClientContext,
+        start: LocalStart,
+        trained: ParamSet,
+        losses: list[float],
+    ) -> ClientUpdate:
+        """Turn one client's trained parameters into its upload."""
+        raise NotImplementedError
+
+    def client_update(self, ctx: ClientContext) -> ClientUpdate:
+        """Run one client's whole round: a one-client cohort."""
+        return train_cohort(self, [ctx])[0][0]
 
     def aggregate(
         self,
@@ -111,41 +172,202 @@ class FederatedMethod:
             momentum=cfg.momentum,
             weight_decay=cfg.weight_decay,
             max_grad_norm=cfg.max_grad_norm,
+            stacked=model.cohort is not None,
         )
 
 
-def run_local_sgd(
+# ----------------------------------------------------------------------
+# the cohort loop
+# ----------------------------------------------------------------------
+
+def _stack_masks(
+    model: Module, masks: list[dict[str, np.ndarray] | None]
+) -> dict[str, np.ndarray]:
+    """Per-client keep masks as one ``(c, ...)`` mask per parameter.
+
+    Row masks stack to ``(c, rows, 1)``; elementwise masks (or a mix)
+    to the parameter's full stacked shape.  Clients without a mask on a
+    parameter keep all of it.
+    """
+    shapes = model._client_shapes
+    names = {name for m in masks if m for name in m}
+    stacked = {}
+    for name, p in model.named_parameters():
+        if name not in names:
+            continue
+        rows_only = all(
+            not m or name not in m or m[name].ndim < len(shapes[name]) for m in masks
+        )
+        shape = p.data.shape[:2] + (1,) if rows_only else p.data.shape
+        stacked[name] = np.ones(shape, dtype=bool)
+    for i, m in enumerate(masks):
+        _set_client_masks(stacked, i, m, shapes)
+    return stacked
+
+
+def _set_client_masks(
+    stacked: dict[str, np.ndarray],
+    index: int,
+    masks: dict[str, np.ndarray] | None,
+    shapes: dict[str, tuple],
+) -> None:
+    """Write client ``index``'s masks into its slice of the stacked ones."""
+    for name, keep in stacked.items():
+        mask = None if masks is None else masks.get(name)
+        if mask is None:
+            keep[index] = True
+        elif mask.ndim < len(shapes[name]):  # a row mask spans its rows
+            keep[index] = mask.reshape(mask.shape + (1,) * (len(shapes[name]) - mask.ndim))
+        else:
+            keep[index] = mask.reshape(keep.shape[1:])
+
+
+def run_cohort_sgd(
     model: Module,
     optimizer: SGD,
-    batcher,
+    batchers: list,
+    starts: list[LocalStart],
     iterations: int,
     rowspace: RowSpace | None = None,
-    masks: dict[str, np.ndarray] | None = None,
-    on_iteration: Callable[[int, float], None] | None = None,
-) -> list[float]:
-    """Run ``iterations`` masked SGD steps; returns per-step losses.
+) -> list[list[float]]:
+    """Run ``iterations`` masked SGD steps on a cohort stack.
 
-    Implements Eq. (7): ``U <- U - eta * (beta ∘ grad L)``.  When
-    ``masks`` is given, ``rowspace`` must be too; gradients of dropped
-    rows are zeroed before the step and the rows re-pinned to zero after
-    it.  The ``on_iteration`` hook lets FedBIAD interleave its adaptive
-    pattern logic (Algorithm 1 lines 18-26) without duplicating the loop.
+    ``model`` is a stack of ``len(starts)`` clients (loaded by the
+    caller); client ``i`` draws its minibatches from ``batchers[i]``.
+    Each iteration is one forward, one backward, one SGD step and one
+    mask pass for the whole stack.  Implements Eq. (7):
+    ``U <- U - eta * (beta ∘ grad L)`` — when any start has ``masks``,
+    ``rowspace`` must be given; gradients of dropped rows are zeroed
+    before the step and the rows re-pinned to zero after it.  Each
+    client's ``on_iteration`` hook then runs in client order (FedBIAD
+    interleaves its adaptive pattern logic, Algorithm 1 lines 18-26,
+    here).  Returns the per-client, per-step losses.
     """
-    if masks is not None and rowspace is None:
+    masks = [s.masks for s in starts]
+    if any(masks) and rowspace is None:
         raise ValueError("masks require a rowspace")
-    losses: list[float] = []
+    keep = _stack_masks(model, masks)
+    hooked = [i for i, s in enumerate(starts) if s.on_iteration is not None]
+    live = {i: model.client_arrays(i) for i in hooked}
+    seed = np.ones(len(starts))
+    losses: list[list[float]] = [[] for _ in starts]
     for v in range(iterations):
-        batch = batcher.next_batch()
+        batches = [b.next_batch() for b in batchers]
+        batch = tuple(np.stack(parts) for parts in zip(*batches))
         optimizer.zero_grad()
-        loss = model.loss(batch)
-        loss.backward()
-        if masks is not None:
-            rowspace.mask_model_gradients(model, masks)
+        loss: Tensor = model.loss(batch)
+        loss.backward(seed)
+        if keep:
+            rowspace.mask_model_gradients(model, keep)
         optimizer.step()
-        if masks is not None:
-            rowspace.zero_dropped_rows(model, masks)
-        value = loss.item()
-        losses.append(value)
-        if on_iteration is not None:
-            on_iteration(v, value)
+        if keep:
+            rowspace.zero_dropped_rows(model, keep)
+        values = loss.data.tolist()
+        for i, value in enumerate(values):
+            losses[i].append(value)
+        for i in hooked:
+            new_masks = starts[i].on_iteration(v, values[i], live[i])
+            if new_masks is not None:
+                _set_client_masks(keep, i, new_masks, model._client_shapes)
     return losses
+
+
+# ----------------------------------------------------------------------
+# chunks: sizing and one chunk's round
+# ----------------------------------------------------------------------
+
+#: one model -> {cohort size: reusable stack}
+_STACKS: "weakref.WeakKeyDictionary[Module, dict[int, Module]]" = weakref.WeakKeyDictionary()
+#: (model layout, batch shapes) -> measured per-client working set
+_WORKING_SETS: dict[tuple, int] = {}
+
+
+def _stack_of(model: Module, cohort: int) -> Module:
+    stacks = _STACKS.setdefault(model, {})
+    if cohort not in stacks:
+        stacks[cohort] = model.stack(cohort)
+    return stacks[cohort]
+
+
+def batch_shape(batcher) -> tuple:
+    """The array shapes one ``next_batch`` returns; clients stack together
+    only when theirs agree."""
+    return tuple(np.shape(part) for part in batcher.probe_batch())
+
+
+def _working_set_bytes(model: Module, batcher) -> int:
+    """Measured bytes one client adds to a chunk: every array its live
+    autograd graph owns after one forward (parameters included; views
+    add nothing) plus the parameter gradients of the backward.  Probed
+    once per model layout and batch shape on a one-client stack,
+    without touching any RNG."""
+    layout = tuple((name, p.data.shape) for name, p in model.named_parameters())
+    key = (type(model).__name__, layout, batch_shape(batcher))
+    if key not in _WORKING_SETS:
+        probe = model.stack(1)
+        batch = tuple(np.asarray(part)[None] for part in batcher.probe_batch())
+        loss = probe.loss(batch)
+        seen, stack, total = set(), [loss], 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node.data.flags.owndata:
+                total += node.data.nbytes
+            stack.extend(node._parents)
+        loss.backward(np.ones(1))
+        total += sum(p.grad.nbytes for p in probe.parameters() if p.grad is not None)
+        _WORKING_SETS[key] = total
+    return _WORKING_SETS[key]
+
+
+def chunk_size(model: Module, batcher) -> int:
+    """Clients per stacked chunk for this model and batch shape: the
+    largest count whose working sets fit :data:`_CHUNK_BYTES`, at least 1."""
+    return max(1, _CHUNK_BYTES // _working_set_bytes(model, batcher))
+
+
+def train_cohort(
+    method: FederatedMethod, contexts: list[ClientContext]
+) -> list[tuple[ClientUpdate, float]]:
+    """One chunk's round: per-client starts, one stacked training loop,
+    per-client finishes.
+
+    All ``contexts`` share one model and one batch shape.  Returns each
+    client's update with its local-training time (LTTR): the chunk's
+    training wall-clock divided by its clients, plus the client's own
+    start and finish.
+    """
+    own: list[float] = []
+    starts: list[LocalStart] = []
+    for ctx in contexts:
+        begin = time.perf_counter()
+        starts.append(method.start_client(ctx))
+        own.append(time.perf_counter() - begin)
+
+    begin = time.perf_counter()
+    model = _stack_of(contexts[0].model, len(contexts))
+    for i, start in enumerate(starts):
+        for name, view in model.client_arrays(i).items():
+            view[...] = start.params[name]
+    losses = run_cohort_sgd(
+        model,
+        method.make_optimizer(model),
+        [ctx.batcher for ctx in contexts],
+        starts,
+        contexts[0].config.local_iterations,
+        method.rowspace,
+    )
+    trained = [
+        ParamSet({name: a.copy() for name, a in model.client_arrays(i).items()})
+        for i in range(len(contexts))
+    ]
+    share = (time.perf_counter() - begin) / len(contexts)
+
+    out = []
+    for i, ctx in enumerate(contexts):
+        begin = time.perf_counter()
+        update = method.finish_client(ctx, starts[i], trained[i], losses[i])
+        out.append((update, share + own[i] + time.perf_counter() - begin))
+    return out

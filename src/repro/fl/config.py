@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 __all__ = ["FLConfig"]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,12 @@ class FLConfig:
             raise ValueError("tau must be >= 1")
         if self.local_iterations < 1:
             raise ValueError("local_iterations must be >= 1")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = all cores)")
+        if not _is_int(self.batch_size) or self.batch_size < 1:
+            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
+        if not _is_int(self.workers) or self.workers < 0:
+            raise ValueError(
+                f"workers must be an integer >= 0 (0 = all cores), got {self.workers!r}"
+            )
         if self.mode not in ("sync", "async"):
             raise ValueError(f"mode must be 'sync' or 'async', got {self.mode!r}")
         if self.buffer_size < 0:

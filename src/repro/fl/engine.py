@@ -4,18 +4,21 @@ The server orchestration (:mod:`repro.fl.simulation`) no longer runs
 client updates inline; it hands the selected cohort to an
 :class:`ExecutionBackend`:
 
-* :class:`SerialBackend` — runs clients one after another in-process,
-  reproducing the historical behaviour bit-for-bit;
-* :class:`ProcessPoolBackend` — fans clients out over a
-  ``multiprocessing`` pool.  Because every client draws from its own
-  seeded RNG stream (``default_rng([seed, round, client])``) and the
-  results are re-ordered to selection order, the produced
+* :class:`SerialBackend` — runs the cohort in-process;
+* :class:`ProcessPoolBackend` — fans contiguous slices of the cohort
+  out over a ``multiprocessing`` pool.  Because every client draws from
+  its own seeded RNG stream (``default_rng([seed, round, client])``)
+  and the results come back in selection order, the produced
   :class:`~repro.fl.metrics.History` is identical to the serial one
   regardless of worker count — only wall-clock fields differ.
 
-Both backends funnel through :func:`execute_client`, the single
-definition of "run one client's round", so numerical equivalence is by
-construction rather than by convention.
+Both backends funnel through :func:`execute_clients`, the single
+definition of "run these clients' round": it walks the clients in
+order and trains them in stacked chunks
+(:func:`~repro.fl.client.train_cohort`) of at most
+:func:`~repro.fl.client.chunk_size` clients sharing one batch shape.
+A client's result does not depend on which chunk it lands in, so
+numerical equivalence is by construction rather than by convention.
 """
 
 from __future__ import annotations
@@ -23,13 +26,19 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..nn.models import build_model
-from .client import ClientContext, ClientUpdate, FederatedMethod
+from .client import (
+    ClientContext,
+    ClientUpdate,
+    FederatedMethod,
+    batch_shape,
+    chunk_size,
+    train_cohort,
+)
 from .config import FLConfig
 from .parameters import ParamSet
 
@@ -40,7 +49,7 @@ __all__ = [
     "ProcessPoolBackend",
     "BACKEND_NAMES",
     "make_backend",
-    "execute_client",
+    "execute_clients",
 ]
 
 
@@ -51,52 +60,71 @@ class ClientResult:
     client_id: int
     update: ClientUpdate
     state: dict  # the client's persistent state after this round
-    lttr_seconds: float  # measured local-training wall-clock (LTTR)
+    #: measured local-training wall-clock (LTTR): the client's share of
+    #: its chunk's stacked training plus its own start and finish
+    lttr_seconds: float
 
 
-def execute_client(
+def execute_clients(
     task,
     method: FederatedMethod,
     model,
     config: FLConfig,
     global_params: ParamSet,
     round_index: int,
-    client_id: int,
-    state: dict,
-    payload=None,
-) -> ClientResult:
-    """Run one client's local round — shared by every backend.
+    client_ids,
+    states: list[dict],
+    payloads: list | None = None,
+) -> list[ClientResult]:
+    """Run these clients' local round, in order — shared by every backend.
 
-    The RNG stream is derived from ``(seed, round, client)`` alone, so
-    the result does not depend on which process or in what order the
-    client runs.
+    Clients go into stacked chunks in the order given; a chunk closes
+    at :func:`~repro.fl.client.chunk_size` clients or where the batch
+    shape changes.  Each client's RNG stream is derived from
+    ``(seed, round, client)`` alone and every per-client phase keeps
+    its draw order, so a result does not depend on the process, the
+    order, or the chunk the client runs in.
 
-    ``payload`` optionally carries the client's already-materialized
+    ``payloads`` optionally carries the clients' already-materialized
     data (pool workers receive the cohort's payloads from the parent
     instead of re-deriving them); the batcher over a shipped payload is
     identical to one built through ``task.batcher`` because lazy
     sources are pure functions of ``(data seed, client)``.
     """
-    client_id = int(client_id)
-    rng = np.random.default_rng([config.seed, round_index, client_id])
-    if payload is not None:
-        batcher = task.batcher_from_payload(payload, config.batch_size, rng)
-    else:
-        batcher = task.batcher(client_id, config.batch_size, rng)
-    ctx = ClientContext(
-        client_id=client_id,
-        round_index=round_index,
-        global_params=global_params,
-        model=model,
-        batcher=batcher,
-        config=config,
-        rng=rng,
-        state=state,
-    )
-    start = time.perf_counter()
-    update = method.client_update(ctx)
-    lttr = time.perf_counter() - start
-    return ClientResult(client_id=client_id, update=update, state=state, lttr_seconds=lttr)
+    results: list[ClientResult] = []
+    chunk: list[ClientContext] = []
+    limit, shape = 0, None
+
+    def flush() -> None:
+        for ctx, (update, lttr) in zip(chunk, train_cohort(method, chunk)):
+            results.append(ClientResult(ctx.client_id, update, ctx.state, lttr))
+        chunk.clear()
+
+    for k, client_id in enumerate(client_ids):
+        client_id = int(client_id)
+        rng = np.random.default_rng([config.seed, round_index, client_id])
+        if payloads is not None:
+            batcher = task.batcher_from_payload(payloads[k], config.batch_size, rng)
+        else:
+            batcher = task.batcher(client_id, config.batch_size, rng)
+        ctx = ClientContext(
+            client_id=client_id,
+            round_index=round_index,
+            global_params=global_params,
+            model=model,
+            batcher=batcher,
+            config=config,
+            rng=rng,
+            state=states[k],
+        )
+        if chunk and (len(chunk) == limit or batch_shape(batcher) != shape):
+            flush()
+        if not chunk:
+            limit, shape = chunk_size(model, batcher), batch_shape(batcher)
+        chunk.append(ctx)
+    if chunk:
+        flush()
+    return results
 
 
 class ExecutionBackend:
@@ -141,13 +169,10 @@ class SerialBackend(ExecutionBackend):
     def run_clients(
         self, task, method, model, config, global_params, round_index, selected, states
     ) -> list[ClientResult]:
-        return [
-            execute_client(
-                task, method, model, config, global_params,
-                round_index, int(cid), states[int(cid)],
-            )
-            for cid in selected
-        ]
+        return execute_clients(
+            task, method, model, config, global_params, round_index,
+            selected, [states[int(cid)] for cid in selected],
+        )
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +225,7 @@ def _worker_init(task, model_spec: dict, seed: int) -> None:  # pragma: no cover
 
 
 def _worker_run(
-    round_blob, round_key, config, round_index, client_id, state, payload=None
+    round_blob, round_key, config, round_index, client_ids, states, payloads=None
 ):  # pragma: no cover - subprocess
     # The round's shared payload (task-stripped method + global params)
     # is serialized once per round in the parent and deserialized at
@@ -213,16 +238,16 @@ def _worker_run(
         _WORKER_STATE["method"] = method
         _WORKER_STATE["global_params"] = global_params
         _WORKER_STATE["round_key"] = round_key
-    return execute_client(
+    return execute_clients(
         _WORKER_STATE["task"],
         _WORKER_STATE["method"],
         _WORKER_STATE["model"],
         config,
         _WORKER_STATE["global_params"],
         round_index,
-        client_id,
-        state,
-        payload=payload,
+        client_ids,
+        states,
+        payloads=payloads,
     )
 
 
@@ -231,8 +256,11 @@ class ProcessPoolBackend(ExecutionBackend):
 
     The pool is created lazily on the first round (workers are
     initialized with the task and a fresh model replica) and reused for
-    the rest of the simulation.  Each round ships one shared blob
-    (task-stripped method + global parameters) plus per-client states;
+    the rest of the simulation.  Each round splits the cohort into one
+    contiguous slice per worker, which the worker trains in stacked
+    chunks exactly as the serial backend does.  Each round ships one
+    shared blob (task-stripped method + global parameters) plus
+    per-client states;
     since methods only mutate *server-side* state inside ``aggregate``
     (which still runs in the parent), shipping a snapshot per round is
     sound.
@@ -280,6 +308,8 @@ class ProcessPoolBackend(ExecutionBackend):
     def run_clients(
         self, task, method, model, config, global_params, round_index, selected, states
     ) -> list[ClientResult]:
+        if len(selected) == 0:
+            return []
         pool = self._ensure_pool(task, config)
         round_blob = _dump_round_blob(method, task, global_params)
         self._round_serial += 1
@@ -291,17 +321,17 @@ class ProcessPoolBackend(ExecutionBackend):
         # live whole in every worker; their jobs ship no payload
         # (bit-identical historical path).
         ship = bool(getattr(task, "ships_cohort_payloads", False))
-        jobs = [
-            (
-                round_blob, round_key, config, round_index, int(cid),
-                states[int(cid)],
-                task.client_payload(int(cid)) if ship else None,
-            )
-            for cid in selected
-        ]
+        jobs = []
+        for part in np.array_split(np.asarray(selected), min(self.workers, len(selected))):
+            ids = [int(cid) for cid in part]
+            jobs.append((
+                round_blob, round_key, config, round_index, ids,
+                [states[cid] for cid in ids],
+                [task.client_payload(cid) for cid in ids] if ship else None,
+            ))
         # starmap preserves job order, so results come back in selection
         # order no matter which worker finished first.
-        return pool.starmap(_worker_run, jobs)
+        return [res for part in pool.starmap(_worker_run, jobs) for res in part]
 
     def close(self) -> None:
         if self._pool is not None:

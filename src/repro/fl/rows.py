@@ -16,7 +16,8 @@ It provides:
   the paper's global set, see DESIGN.md §4);
 * score-based pattern construction for FedBIAD's stage two;
 * masking utilities for parameters and gradients (masks are expanded to
-  full row masks before application).
+  full row masks before application) — the mask pass of the one local
+  training loop, :func:`repro.fl.client.run_cohort_sgd`.
 """
 
 from __future__ import annotations
@@ -210,15 +211,26 @@ class RowSpace:
         return ParamSet(out)
 
     def mask_model_gradients(self, model: Module, masks: dict[str, np.ndarray]) -> None:
-        """Zero gradients of dropped rows in place (Eq. 7's masking)."""
+        """Zero gradients of dropped rows in place (Eq. 7's masking).
+
+        A mask is a row mask (``(rows,)``; per client ``(c, rows)`` in a
+        cohort stack) or any keep mask that broadcasts against the
+        parameter once trailing axes are added — elementwise sub-model
+        masks included.
+        """
         for name, p in model.named_parameters():
             mask = masks.get(name)
             if mask is not None and p.grad is not None:
-                p.grad *= mask[:, None]
+                p.grad *= _broadcastable(mask, p.data.ndim)
 
     def zero_dropped_rows(self, model: Module, masks: dict[str, np.ndarray]) -> None:
         """Pin dropped rows of the live model to zero (post-step guard)."""
         for name, p in model.named_parameters():
             mask = masks.get(name)
             if mask is not None:
-                p.data[~mask, :] = 0.0
+                np.copyto(p.data, 0.0, where=~_broadcastable(mask, p.data.ndim))
+
+
+def _broadcastable(mask: np.ndarray, ndim: int) -> np.ndarray:
+    """``mask`` with trailing unit axes so a row mask spans its rows."""
+    return mask.reshape(mask.shape + (1,) * (ndim - mask.ndim))

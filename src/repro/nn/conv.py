@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import init as initializers
-from .functional import relu
+from .functional import linear, relu
 from .layers import Linear
 from .module import Module, Parameter
 from .tensor import Tensor, as_tensor
@@ -56,7 +56,8 @@ class Conv2d(Module):
 
     ``weight`` has shape ``(out_channels, in_channels * kh * kw)`` —
     one row per filter, matching the paper's filter-wise dropping
-    pattern granularity.
+    pattern granularity.  Inputs are ``(..., batch, channels, H, W)``;
+    a cohort stack's leading client axis rides along.
     """
 
     def __init__(
@@ -82,13 +83,22 @@ class Conv2d(Module):
 
     def forward(self, x: Tensor | np.ndarray) -> Tensor:
         x = as_tensor(x)
+        lead = x.shape[:-3]
+        weight, bias = self.weight, self.bias
+        if len(lead) > 1:  # a cohort stack: fold clients into the batch for im2col
+            x = x.reshape((-1,) + x.shape[-3:])
+            # each client's filters broadcast over its own batch axis
+            weight = weight.reshape((lead[0], 1) + weight.shape[1:])
+            bias = bias.reshape((lead[0], 1, 1, -1))
         patches, out_h, out_w = im2col(
             x.numpy(), self.kernel_size, self.kernel_size, self.stride
         )
         patches_t = self._patch_tensor(x, patches)
-        out = patches_t @ self.weight.T + self.bias  # (B, P, out_channels)
-        batch = x.shape[0]
-        return out.transpose((0, 2, 1)).reshape(batch, self.out_channels, out_h, out_w)
+        if len(lead) > 1:
+            patches_t = patches_t.reshape(lead + patches.shape[1:])
+        out = linear(patches_t, weight, bias)  # (..., B, P, out_channels)
+        axes = tuple(range(len(lead))) + (len(lead) + 1, len(lead))
+        return out.transpose(axes).reshape(lead + (self.out_channels, out_h, out_w))
 
     def _patch_tensor(self, x: Tensor, patches: np.ndarray) -> Tensor:
         """Wrap patches with a backward that folds gradients to the input."""
@@ -147,18 +157,18 @@ class CNNClassifier(Module):
 
     def forward(self, x: np.ndarray | Tensor) -> Tensor:
         x = as_tensor(x)
-        batch = x.shape[0]
-        images = x.reshape(batch, 1, self.side, self.side)
+        lead = x.shape[:-1]  # (batch,), or (c, batch) in a cohort stack
+        images = x.reshape(lead + (1, self.side, self.side))
         h = relu(self.conv1(images))
         h = relu(self.conv2(h))
-        h = h.reshape(batch, self.flat_dim)
+        h = h.reshape(lead + (self.flat_dim,))
         return self.head(relu(self.fc(h)))
 
     def loss(self, batch: tuple[np.ndarray, np.ndarray]) -> Tensor:
         from .functional import cross_entropy
 
         x, y = batch
-        return cross_entropy(self.forward(x), y)
+        return cross_entropy(self.forward(x), y, axis=-1)
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         from .tensor import no_grad

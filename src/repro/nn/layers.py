@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import init as initializers
-from .functional import embedding_lookup
+from .functional import embedding_lookup, linear
 from .module import Module, Parameter
 from .tensor import Tensor
 
@@ -17,7 +17,9 @@ class Linear(Module):
 
     ``weight`` has shape ``(out_features, in_features)`` so that each row
     corresponds to one output unit — the row granularity that FedBIAD's
-    dropping patterns operate on.
+    dropping patterns operate on.  In a cohort stack
+    (:meth:`~repro.nn.module.Module.stack`) it is ``(c, out, in)`` and
+    ``x`` is ``(c, batch, in)``.
     """
 
     def __init__(
@@ -47,10 +49,7 @@ class Linear(Module):
             self.bias = Parameter(initializers.zeros((out_features,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.T
-        if self.has_bias:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias if self.has_bias else None)
 
 
 class Embedding(Module):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functional import cross_entropy
+from .functional import cross_entropy, linear
 from .layers import Embedding, Linear, ReLU, Sequential
 from .module import Module, Parameter
 from .recurrent import LSTM
@@ -72,9 +72,13 @@ class MLPClassifier(Module):
         return self.net(x)
 
     def loss(self, batch: tuple[np.ndarray, np.ndarray]) -> Tensor:
-        """Mean cross-entropy over one ``(images, labels)`` minibatch."""
+        """Mean cross-entropy over one ``(images, labels)`` minibatch.
+
+        A cohort stack takes ``(c, batch, ...)`` arrays and returns one
+        loss per client.
+        """
         x, y = batch
-        return cross_entropy(self.forward(x), y)
+        return cross_entropy(self.forward(x), y, axis=-1)
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         with no_grad():
@@ -124,37 +128,38 @@ class WordLSTM(Module):
 
     def _decode(self, h: Tensor) -> Tensor:
         if self.tie_weights:
-            return h @ self.embedding.weight.T + self.decoder_bias
+            return linear(h, self.embedding.weight, self.decoder_bias)
         return self.decoder(h)
 
     def _hidden_sequence(self, token_ids: np.ndarray) -> list[Tensor]:
-        """Embed a ``(batch, time)`` index array and run the LSTM."""
+        """Embed a ``(..., batch, time)`` index array and run the LSTM."""
         token_ids = np.asarray(token_ids, dtype=np.intp)
-        embedded = self.embedding(token_ids)  # (batch, time, embed)
-        steps = [embedded[:, t, :] for t in range(token_ids.shape[1])]
+        embedded = self.embedding(token_ids)  # (..., batch, time, embed)
+        steps = [embedded[..., t, :] for t in range(token_ids.shape[-1])]
         return self.lstm(steps)
 
     def loss(self, batch: tuple[np.ndarray, np.ndarray]) -> Tensor:
         """Mean next-word cross-entropy over a ``(inputs, targets)`` batch.
 
         Both arrays have shape ``(batch, time)``; ``targets`` is the
-        inputs shifted by one position (standard LM training).
+        inputs shifted by one position (standard LM training).  A cohort
+        stack takes ``(c, batch, time)`` and returns one loss per client.
         """
         x, y = batch
         hiddens = self._hidden_sequence(x)
         total = None
         for t, h in enumerate(hiddens):
             logits_t = self._decode(h)
-            step_loss = cross_entropy(logits_t, y[:, t], reduction="sum")
+            step_loss = cross_entropy(logits_t, y[..., t], reduction="sum", axis=-1)
             total = step_loss if total is None else total + step_loss
-        count = x.shape[0] * x.shape[1]
+        count = x.shape[-2] * x.shape[-1]
         return total * (1.0 / count)
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         """Evaluation logits with shape ``(batch, time, vocab)``."""
         with no_grad():
             hiddens = self._hidden_sequence(x)
-            return np.stack([self._decode(h).numpy() for h in hiddens], axis=1)
+            return np.stack([self._decode(h).numpy() for h in hiddens], axis=-2)
 
 
 def build_model(spec: dict, rng: np.random.Generator) -> Module:

@@ -6,11 +6,15 @@ and exposes the two views the federated layer needs:
 * ``state_dict()`` / ``load_state_dict()`` — numpy-array snapshots that the
   FL server and clients exchange (see :mod:`repro.fl.parameters`);
 * ``row_specs()`` — the ordered description of the *droppable weight rows*
-  that FedBIAD's dropping patterns index (see :mod:`repro.fl.rows`).
+  that FedBIAD's dropping patterns index (see :mod:`repro.fl.rows`);
+* ``stack(c)`` — a *cohort stack*: the same architecture with every
+  parameter carrying a leading client axis, so one forward/backward
+  trains ``c`` clients at once (see :func:`repro.fl.client.run_cohort_sgd`).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -103,6 +107,10 @@ class Module:
     attributes; registration happens automatically via ``__setattr__``.
     """
 
+    #: Clients in a cohort stack built by :meth:`stack`; ``None`` for a
+    #: plain one-client module.
+    cohort: int | None = None
+
     def __init__(self) -> None:
         object.__setattr__(self, "_params", {})
         object.__setattr__(self, "_modules", {})
@@ -119,6 +127,9 @@ class Module:
     # ------------------------------------------------------------------
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
         """Yield ``(qualified_name, parameter)`` pairs in a stable order."""
+        if not prefix and self.cohort is not None:  # a stack's layout is fixed
+            yield from self._stack_params
+            return
         for name, param in self._params.items():
             yield (f"{prefix}{name}", param)
         for name, child in self._modules.items():
@@ -156,6 +167,40 @@ class Module:
                     f"shape mismatch for {name}: expected {p.data.shape}, got {value.shape}"
                 )
             p.data[...] = value
+
+    # ------------------------------------------------------------------
+    # cohort stacks
+    # ------------------------------------------------------------------
+    def stack(self, cohort: int) -> "Module":
+        """A copy of this module whose parameters stack ``cohort`` clients.
+
+        Weight matrices become ``(cohort, rows, cols)``; 1-D parameters
+        (biases) become ``(cohort, 1, n)`` so they broadcast over each
+        client's batch axis.  Values start at zero — load clients with
+        :meth:`client_arrays`.  Forward passes take inputs with the same
+        leading client axis and return one loss per client.
+        """
+        if self.cohort is not None:
+            raise ValueError("module is already a cohort stack")
+        if cohort < 1:
+            raise ValueError("cohort must be >= 1")
+        stacked = copy.deepcopy(self)
+        shapes = {}
+        for name, p in stacked.named_parameters():
+            shapes[name] = p.data.shape
+            lead = (cohort, 1) if p.data.ndim == 1 else (cohort,)
+            p.data = np.zeros(lead + p.data.shape, dtype=np.float64)
+            p.grad = None
+        object.__setattr__(stacked, "_stack_params", tuple(stacked.named_parameters()))
+        object.__setattr__(stacked, "_client_shapes", shapes)
+        object.__setattr__(stacked, "cohort", cohort)
+        return stacked
+
+    def client_arrays(self, index: int) -> dict[str, np.ndarray]:
+        """Writable views of client ``index``'s parameters in a stack,
+        each in its one-client shape."""
+        shapes = self._client_shapes
+        return {name: p.data[index].reshape(shapes[name]) for name, p in self._stack_params}
 
     def row_specs(self) -> list[RowSpec]:
         """Describe every droppable weight matrix, in traversal order."""

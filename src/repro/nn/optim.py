@@ -3,7 +3,9 @@
 The paper trains with SGD (image tasks) and SGD with clipped gradient
 norm (LSTM tasks, following Merity et al.).  The FedBIAD update rule of
 Eq. (7) masks gradients row-wise before the step; that masking lives in
-:mod:`repro.core.client` — the optimizer itself stays generic.
+the cohort loop of :mod:`repro.fl.client` — the optimizer itself stays
+generic, apart from clipping each client of a cohort stack to its own
+norm.
 """
 
 from __future__ import annotations
@@ -15,22 +17,42 @@ from .module import Parameter
 __all__ = ["SGD", "clip_grad_norm"]
 
 
-def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
+def clip_grad_norm(
+    params: list[Parameter], max_norm: float, stacked: bool = False
+) -> float | np.ndarray:
     """Scale gradients in place so their global L2 norm is <= ``max_norm``.
 
     Returns the pre-clipping norm (useful for monitoring divergence).
+    With ``stacked``, gradients carry a leading client axis (a cohort
+    stack): each client's slice is clipped to its own norm, and the
+    per-client norms are returned.  A client's norm sums the same
+    per-parameter squares in the same order as an unstacked call.
     """
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
+    if not stacked:
+        total = 0.0
         for p in params:
             if p.grad is not None:
-                p.grad *= scale
-    return norm
+                total += float(np.sum(p.grad * p.grad))
+        norm = float(np.sqrt(total))
+        if norm > max_norm and norm > 0.0:
+            scale = max_norm / norm
+            for p in params:
+                if p.grad is not None:
+                    p.grad *= scale
+        return norm
+    grads = [p.grad for p in params if p.grad is not None]
+    if not grads:
+        return np.zeros(0)
+    totals = np.zeros(grads[0].shape[0])
+    for g in grads:
+        totals += np.sum(g * g, axis=tuple(range(1, g.ndim)))
+    norms = np.sqrt(totals)
+    clip = (norms > max_norm) & (norms > 0.0)
+    if clip.any():
+        scale = np.where(clip, max_norm / np.where(clip, norms, 1.0), 1.0)
+        for g in grads:
+            g *= scale.reshape((-1,) + (1,) * (g.ndim - 1))
+    return norms
 
 
 class SGD:
@@ -51,6 +73,10 @@ class SGD:
     max_grad_norm:
         When set, gradients are clipped to this global norm before the
         step (the paper's LSTM recipe).
+    stacked:
+        The parameters are a cohort stack; clipping is per client (see
+        :func:`clip_grad_norm`).  Every other part of the step is
+        elementwise and needs no change.
     """
 
     def __init__(
@@ -60,6 +86,7 @@ class SGD:
         momentum: float = 0.0,
         weight_decay: float = 0.0,
         max_grad_norm: float | None = None,
+        stacked: bool = False,
     ) -> None:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
@@ -68,6 +95,7 @@ class SGD:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.max_grad_norm = max_grad_norm
+        self.stacked = stacked
         self._velocity: list[np.ndarray | None] = [None] * len(self.params)
 
     def zero_grad(self) -> None:
@@ -77,7 +105,7 @@ class SGD:
     def step(self) -> None:
         """Apply one SGD update to every parameter with a gradient."""
         if self.max_grad_norm is not None:
-            clip_grad_norm(self.params, self.max_grad_norm)
+            clip_grad_norm(self.params, self.max_grad_norm, stacked=self.stacked)
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import init as initializers
+from .functional import linear
 from .module import Module, Parameter
 from .tensor import Tensor
 
@@ -62,17 +63,21 @@ class LSTMCell(Module):
     def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
         """Advance one timestep; returns the new ``(h, c)`` state."""
         hs = self.hidden_size
-        gates = x @ self.w_x.T + h @ self.w_h.T + self.bias
-        i = gates[:, 0 * hs : 1 * hs].sigmoid()
-        f = gates[:, 1 * hs : 2 * hs].sigmoid()
-        g = gates[:, 2 * hs : 3 * hs].tanh()
-        o = gates[:, 3 * hs : 4 * hs].sigmoid()
+        gates = linear(x, self.w_x) + linear(h, self.w_h) + self.bias
+        i = gates[..., 0 * hs : 1 * hs].sigmoid()
+        f = gates[..., 1 * hs : 2 * hs].sigmoid()
+        g = gates[..., 2 * hs : 3 * hs].tanh()
+        o = gates[..., 3 * hs : 4 * hs].sigmoid()
         c_new = f * c + i * g
         h_new = o * c_new.tanh()
         return h_new, c_new
 
-    def initial_state(self, batch_size: int) -> tuple[Tensor, Tensor]:
-        zeros = np.zeros((batch_size, self.hidden_size), dtype=np.float64)
+    def initial_state(self, batch_shape: int | tuple[int, ...]) -> tuple[Tensor, Tensor]:
+        """Zero ``(h, c)`` of shape ``batch_shape + (hidden_size,)``; a
+        cohort stack passes ``(c, batch)``."""
+        if isinstance(batch_shape, int):
+            batch_shape = (batch_shape,)
+        zeros = np.zeros(tuple(batch_shape) + (self.hidden_size,), dtype=np.float64)
         return Tensor(zeros), Tensor(zeros.copy())
 
 
@@ -107,16 +112,17 @@ class LSTM(Module):
         Parameters
         ----------
         inputs:
-            List of ``T`` tensors with shape ``(batch, input_size)``.
+            List of ``T`` tensors with shape ``(batch, input_size)``, or
+            ``(c, batch, input_size)`` in a cohort stack.
 
         Returns
         -------
-        list of ``T`` tensors with shape ``(batch, hidden_size)`` — the
-        top layer's hidden state at every timestep.
+        list of ``T`` tensors with shape ``(..., batch, hidden_size)`` —
+        the top layer's hidden state at every timestep.
         """
         if not inputs:
             return []
-        batch = inputs[0].shape[0]
+        batch = inputs[0].shape[:-1]
         states = [cell.initial_state(batch) for cell in self.cells]
         outputs: list[Tensor] = []
         for x in inputs:

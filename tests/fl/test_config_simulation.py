@@ -32,6 +32,20 @@ class TestFLConfig:
         with pytest.raises(ValueError):
             FLConfig(**kwargs)
 
+    @pytest.mark.parametrize("workers", [None, -1, 1.5, "2", True])
+    def test_workers_must_be_a_non_negative_int(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            FLConfig(workers=workers)
+
+    @pytest.mark.parametrize("batch_size", [0, -4, 2.0, None])
+    def test_batch_size_must_be_a_positive_int(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            FLConfig(batch_size=batch_size)
+
+    def test_integer_like_values_accepted(self):
+        cfg = FLConfig(workers=np.int64(2), batch_size=np.int32(1))
+        assert cfg.workers == 2 and cfg.batch_size == 1
+
     def test_stage_boundary_default_ratio(self):
         assert FLConfig(rounds=60).resolved_stage_boundary == 54
         assert FLConfig(rounds=60, stage_boundary=55).resolved_stage_boundary == 55

@@ -9,6 +9,7 @@ from repro.nn.functional import (
     concat,
     cross_entropy,
     embedding_lookup,
+    linear,
     log_softmax,
     softmax,
     stack,
@@ -136,3 +137,59 @@ class TestEmbeddingLookup:
         weight = leaf(rng.normal(size=(6, 3)))
         idx = rng.integers(0, 6, size=(2, 4))
         check_gradients(lambda: (embedding_lookup(weight, idx) ** 2).sum(), [weight])
+
+
+class TestLinearPrimitive:
+    def test_matches_transpose_matmul_chain(self, rng):
+        x = leaf(rng.normal(size=(4, 3)))
+        w = leaf(rng.normal(size=(2, 3)))
+        b = leaf(rng.normal(size=(2,)))
+        np.testing.assert_array_equal(
+            linear(x, w, b).numpy(), (x @ w.T + b).numpy()
+        )
+
+    def test_gradients(self, rng):
+        x = leaf(rng.normal(size=(4, 3)))
+        w = leaf(rng.normal(size=(2, 3)))
+        b = leaf(rng.normal(size=(2,)))
+        check_gradients(lambda: linear(x, w, b).sum(), [x, w, b])
+
+    def test_stacked_gradients(self, rng):
+        x = leaf(rng.normal(size=(2, 4, 3)))
+        w = leaf(rng.normal(size=(2, 5, 3)))
+        b = leaf(rng.normal(size=(2, 1, 5)))
+        check_gradients(lambda: (linear(x, w, b) * linear(x, w)).sum(), [x, w, b])
+
+
+class TestPerRowReduction:
+    def test_axis_minus_one_gives_one_loss_per_row(self, rng):
+        logits = rng.normal(size=(3, 5, 4))
+        targets = rng.integers(0, 4, size=(3, 5))
+        for reduction in ("mean", "sum"):
+            rows = cross_entropy(leaf(logits), targets, reduction, axis=-1).numpy()
+            singles = [
+                cross_entropy(leaf(logits[i]), targets[i], reduction).item() for i in range(3)
+            ]
+            assert rows.tolist() == singles
+
+    def test_gradients(self, rng):
+        logits = leaf(rng.normal(size=(2, 3, 4)))
+        targets = rng.integers(0, 4, size=(2, 3))
+        weights = np.array([0.5, 2.0])
+        check_gradients(
+            lambda: (cross_entropy(logits, targets, axis=-1) * weights).sum(), [logits]
+        )
+
+    def test_other_axes_rejected(self, rng):
+        with pytest.raises(ValueError):
+            cross_entropy(leaf(rng.normal(size=(2, 3, 4))), np.zeros((2, 3), int), axis=0)
+
+
+class TestStackedEmbedding:
+    def test_per_client_gather_and_scatter(self, rng):
+        weight = leaf(rng.normal(size=(2, 6, 3)))
+        indices = rng.integers(0, 6, size=(2, 4))
+        out = embedding_lookup(weight, indices)
+        for i in range(2):
+            np.testing.assert_array_equal(out.numpy()[i], weight.numpy()[i][indices[i]])
+        check_gradients(lambda: (embedding_lookup(weight, indices) ** 2).sum(), [weight])

@@ -225,3 +225,72 @@ class TestBuildModel:
         np.testing.assert_array_equal(
             a.state_dict()["net.layer0.weight"], b.state_dict()["net.layer0.weight"]
         )
+
+
+def _load_stack(model, clients):
+    """A stack of ``model`` holding each of ``clients``' parameter dicts."""
+    stack = model.stack(len(clients))
+    for i, params in enumerate(clients):
+        for name, view in stack.client_arrays(i).items():
+            view[...] = params[name]
+    return stack
+
+
+def _perturbed_states(model, rng, n):
+    base = model.state_dict()
+    return [{k: v + 0.1 * rng.normal(size=v.shape) for k, v in base.items()} for _ in range(n)]
+
+
+class TestCohortStack:
+    """A stack of c clients computes, bit for bit, what c separate
+    one-client models compute — losses and gradients alike."""
+
+    def _check(self, model, states, batches):
+        stack = _load_stack(model, states)
+        stacked_batch = tuple(np.stack(parts) for parts in zip(*batches))
+        loss = stack.loss(stacked_batch)
+        loss.backward(np.ones(len(states)))
+        for i, (state, batch) in enumerate(zip(states, batches)):
+            model.load_state_dict(state)
+            model.zero_grad()
+            single = model.loss(batch)
+            single.backward()
+            assert loss.data[i] == single.item()
+            grads = dict(model.named_parameters())
+            for name, p in stack.named_parameters():
+                client_grad = p.grad[i].reshape(grads[name].grad.shape)
+                np.testing.assert_array_equal(client_grad, grads[name].grad)
+
+    def test_mlp_matches_per_client(self, tiny_mlp, rng):
+        states = _perturbed_states(tiny_mlp, rng, 3)
+        batches = [(rng.normal(size=(5, 6)), rng.integers(0, 4, size=5)) for _ in states]
+        self._check(tiny_mlp, states, batches)
+
+    def test_word_lstm_matches_per_client(self, tiny_lstm, rng):
+        states = _perturbed_states(tiny_lstm, rng, 3)
+        batches = [
+            (rng.integers(0, 9, size=(2, 4)), rng.integers(0, 9, size=(2, 4))) for _ in states
+        ]
+        self._check(tiny_lstm, states, batches)
+
+    def test_cnn_matches_per_client(self, rng):
+        model = build_model(
+            {"kind": "cnn", "side": 4, "n_classes": 3, "channels": (2, 3),
+             "kernel_size": 2, "hidden": 5},
+            rng,
+        )
+        states = _perturbed_states(model, rng, 2)
+        batches = [(rng.normal(size=(3, 16)), rng.integers(0, 3, size=3)) for _ in states]
+        self._check(model, states, batches)
+
+    def test_layout(self, tiny_mlp):
+        stack = tiny_mlp.stack(4)
+        shapes = {name: p.shape for name, p in stack.named_parameters()}
+        assert shapes["net.layer0.weight"] == (4, 5, 6)
+        assert shapes["net.layer0.bias"] == (4, 1, 5)
+        assert stack.cohort == 4 and tiny_mlp.cohort is None
+        views = stack.client_arrays(2)
+        views["net.layer0.bias"][...] = 7.0
+        assert np.all(dict(stack.named_parameters())["net.layer0.bias"].data[2] == 7.0)
+        with pytest.raises(ValueError):
+            stack.stack(2)

@@ -105,3 +105,22 @@ class TestInitializers:
     def test_orthogonal_requires_2d(self, rng):
         with pytest.raises(ValueError):
             initializers.orthogonal((4,), rng)
+
+
+class TestStackedClipping:
+    def test_each_client_clipped_to_its_own_norm(self, rng):
+        grads = [rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 1, 4))]
+        for g in grads:
+            g[1] *= 1e-3  # client 1 stays under the bound
+        stacked = [Parameter(np.zeros(g.shape)) for g in grads]
+        for p, g in zip(stacked, grads):
+            p.grad = g.copy()
+        norms = clip_grad_norm(stacked, max_norm=1.0, stacked=True)
+        for i in range(3):
+            singles = [Parameter(np.zeros(g.shape[1:])) for g in grads]
+            for p, g in zip(singles, grads):
+                p.grad = g[i].copy()
+            assert norms[i] == clip_grad_norm(singles, max_norm=1.0)
+            for p, s in zip(stacked, singles):
+                np.testing.assert_array_equal(p.grad[i], s.grad)
+        assert norms[1] < 1.0
