@@ -54,11 +54,13 @@ __all__ = [
     "train_cohort",
 ]
 
-#: Byte budget of one cohort chunk's working set.  The chunk size is the
-#: largest client count whose measured per-client working set fits it
-#: (floor 1): dozens of clients for a small MLP, one for a PTB-sized
-#: word LSTM.  Not a knob; tests override it to force chunk sizes.
-_CHUNK_BYTES = 1 << 20
+#: Op size at which stacking stops paying.  Stacking amortizes per-op
+#: Python overhead, so a chunk grows until its typical op holds this many
+#: bytes: the chunk size is this budget over the mean bytes of one
+#: client's op (floor 1) — 27 clients for the fleet MLP, a whole cohort
+#: of 6 for the small PTB word LSTM, one for paper-scale models.  Not a
+#: knob; tests override it to force chunk sizes.
+_CHUNK_BYTES = 64 << 10
 
 
 @dataclass
@@ -278,8 +280,8 @@ def run_cohort_sgd(
 
 #: one model -> {cohort size: reusable stack}
 _STACKS: "weakref.WeakKeyDictionary[Module, dict[int, Module]]" = weakref.WeakKeyDictionary()
-#: (model layout, batch shapes) -> measured per-client working set
-_WORKING_SETS: dict[tuple, int] = {}
+#: (model layout, batch shapes) -> measured mean bytes per op
+_OP_BYTES: dict[tuple, int] = {}
 
 
 def _stack_of(model: Module, cohort: int) -> Module:
@@ -295,37 +297,33 @@ def batch_shape(batcher) -> tuple:
     return tuple(np.shape(part) for part in batcher.probe_batch())
 
 
-def _working_set_bytes(model: Module, batcher) -> int:
-    """Measured bytes one client adds to a chunk: every array its live
-    autograd graph owns after one forward (parameters included; views
-    add nothing) plus the parameter gradients of the backward.  Probed
-    once per model layout and batch shape on a one-client stack,
-    without touching any RNG."""
+def _op_bytes(model: Module, batcher) -> int:
+    """Mean bytes one client's op owns: the arrays of the op nodes in the
+    live autograd graph of a probe forward on a one-client stack (views,
+    which own nothing, are not counted).  Probed once per model layout
+    and batch shape, without touching any RNG."""
     layout = tuple((name, p.data.shape) for name, p in model.named_parameters())
     key = (type(model).__name__, layout, batch_shape(batcher))
-    if key not in _WORKING_SETS:
+    if key not in _OP_BYTES:
         probe = model.stack(1)
         batch = tuple(np.asarray(part)[None] for part in batcher.probe_batch())
-        loss = probe.loss(batch)
-        seen, stack, total = set(), [loss], 0
+        seen, stack, sizes = set(), [probe.loss(batch)], []
         while stack:
             node = stack.pop()
             if id(node) in seen:
                 continue
             seen.add(id(node))
-            if node.data.flags.owndata:
-                total += node.data.nbytes
+            if node._backward is not None and node.data.flags.owndata:
+                sizes.append(node.data.nbytes)
             stack.extend(node._parents)
-        loss.backward(np.ones(1))
-        total += sum(p.grad.nbytes for p in probe.parameters() if p.grad is not None)
-        _WORKING_SETS[key] = total
-    return _WORKING_SETS[key]
+        _OP_BYTES[key] = max(1, sum(sizes) // max(1, len(sizes)))
+    return _OP_BYTES[key]
 
 
 def chunk_size(model: Module, batcher) -> int:
-    """Clients per stacked chunk for this model and batch shape: the
-    largest count whose working sets fit :data:`_CHUNK_BYTES`, at least 1."""
-    return max(1, _CHUNK_BYTES // _working_set_bytes(model, batcher))
+    """Clients per stacked chunk for this model and batch shape:
+    :data:`_CHUNK_BYTES` over one client's mean op size, at least 1."""
+    return max(1, _CHUNK_BYTES // _op_bytes(model, batcher))
 
 
 def train_cohort(

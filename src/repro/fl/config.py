@@ -12,6 +12,12 @@ def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+#: fields that count something and must be integers >= 1
+_POSITIVE_INTS = (
+    "rounds", "local_iterations", "batch_size", "tau", "eval_every", "eval_batch_size",
+)
+
+
 @dataclass(frozen=True)
 class FLConfig:
     """Hyper-parameters of one federated simulation.
@@ -76,18 +82,14 @@ class FLConfig:
     max_concurrency: int = 0
 
     def __post_init__(self) -> None:
-        if self.rounds <= 0:
-            raise ValueError("rounds must be positive")
+        for name in _POSITIVE_INTS:
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 < self.kappa <= 1.0:
             raise ValueError("kappa must be in (0, 1]")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
-        if self.local_iterations < 1:
-            raise ValueError("local_iterations must be >= 1")
-        if not _is_int(self.batch_size) or self.batch_size < 1:
-            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
         if not _is_int(self.workers) or self.workers < 0:
             raise ValueError(
                 f"workers must be an integer >= 0 (0 = all cores), got {self.workers!r}"

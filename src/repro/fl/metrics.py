@@ -17,6 +17,15 @@ from ..nn.functional import _log_softmax_data
 __all__ = ["topk_accuracy", "evaluate", "RoundRecord", "History"]
 
 
+def _topk_hits(logits: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
+    """Per-row hits of ``(n, classes)`` logits against ``(n,)`` targets."""
+    if k == 1:
+        return logits.argmax(axis=1) == targets
+    # argpartition is O(n) per row versus full sort
+    top = np.argpartition(-logits, kth=k - 1, axis=1)[:, :k]
+    return (top == targets[:, None]).any(axis=1)
+
+
 def topk_accuracy(logits: np.ndarray, targets: np.ndarray, k: int = 1) -> float:
     """Fraction of positions whose target is within the top-k logits.
 
@@ -24,18 +33,10 @@ def topk_accuracy(logits: np.ndarray, targets: np.ndarray, k: int = 1) -> float:
     ``targets`` matches the leading dimensions.
     """
     logits = np.asarray(logits)
-    targets = np.asarray(targets)
-    flat_logits = logits.reshape(-1, logits.shape[-1])
-    flat_targets = targets.reshape(-1)
+    flat_targets = np.asarray(targets).reshape(-1)
     if flat_targets.size == 0:
         return 0.0
-    if k == 1:
-        hits = flat_logits.argmax(axis=1) == flat_targets
-    else:
-        # argpartition is O(n) per row versus full sort
-        top = np.argpartition(-flat_logits, kth=k - 1, axis=1)[:, :k]
-        hits = (top == flat_targets[:, None]).any(axis=1)
-    return float(hits.mean())
+    return float(_topk_hits(logits.reshape(-1, logits.shape[-1]), flat_targets, k).mean())
 
 
 def evaluate(model, task, batch_size: int = 256) -> tuple[float, float]:
@@ -43,19 +44,29 @@ def evaluate(model, task, batch_size: int = 256) -> tuple[float, float]:
 
     Loss is the mean cross-entropy over every test position, computed
     from raw logits with a stable log-softmax (no graph construction).
+    The model streams its logits one step at a time
+    (``model.logit_steps(x)``: ``(batch, classes)`` per step, one step
+    for a classifier, one per position for a language model); each
+    step's picked log-probabilities and top-k hits land in a
+    ``(batch, steps)`` array, so no whole ``(batch, steps, classes)``
+    logits array is ever built.
     """
     total_loss = 0.0
     total_hits = 0.0
     total_count = 0
     k = task.topk
     for x, y in task.eval_batches(batch_size):
-        logits = model.predict_logits(x)
-        log_probs = _log_softmax_data(logits)
-        flat_lp = log_probs.reshape(-1, log_probs.shape[-1])
-        flat_y = np.asarray(y).reshape(-1)
-        total_loss += float(-flat_lp[np.arange(flat_y.size), flat_y].sum())
-        total_hits += topk_accuracy(logits, y, k) * flat_y.size
-        total_count += flat_y.size
+        y = np.asarray(y).reshape(len(y), -1)  # (batch, steps)
+        picked = np.empty(y.shape)
+        hits = np.empty(y.shape, dtype=bool)
+        rows = np.arange(y.shape[0])
+        for t, logits in enumerate(model.logit_steps(x)):
+            picked[:, t] = _log_softmax_data(logits)[rows, y[:, t]]
+            hits[:, t] = _topk_hits(logits, y[:, t], k)
+        total_loss += float(-picked.reshape(-1).sum())
+        if hits.size:
+            total_hits += float(hits.mean()) * hits.size
+        total_count += hits.size
     if total_count == 0:
         raise ValueError("empty evaluation set")
     return total_loss / total_count, total_hits / total_count

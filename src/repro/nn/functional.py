@@ -13,6 +13,7 @@ from .tensor import Tensor, _unbroadcast, as_tensor
 
 __all__ = [
     "linear",
+    "transposed_weight",
     "relu",
     "tanh",
     "sigmoid",
@@ -46,6 +47,16 @@ def _log_softmax_data(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def transposed_weight(weight: Tensor) -> Tensor:
+    """``weight`` with its last two axes swapped, as its own graph node.
+
+    Every use of a weight in :func:`linear` and the fused LSTM gates
+    goes through a fresh node of this kind, which fixes the order in
+    which the backward walk sums a reused weight's contributions.
+    """
+    return weight.transpose(tuple(range(weight.ndim - 2)) + (weight.ndim - 1, weight.ndim - 2))
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map ``x @ weight^T + bias`` over any leading axes.
 
@@ -64,7 +75,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     reverse, which moves results in the last bit.
     """
     x = as_tensor(x)
-    wt = weight.transpose(tuple(range(weight.ndim - 2)) + (weight.ndim - 1, weight.ndim - 2))
+    wt = transposed_weight(weight)
     out = x.data @ wt.data
     if bias is not None:
         out = out + bias.data

@@ -10,11 +10,15 @@ Both expose a uniform interface consumed by the federated layer:
 
 * ``loss(batch) -> Tensor`` — scalar training loss for one minibatch;
 * ``predict_logits(inputs) -> np.ndarray`` — evaluation-time logits;
+* ``logit_steps(inputs)`` — the same logits streamed as ``(batch, classes)``
+  steps (what :func:`repro.fl.metrics.evaluate` consumes);
 * ``state_dict`` / ``load_state_dict`` / ``row_specs`` from
   :class:`repro.nn.module.Module`.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -155,11 +159,19 @@ class WordLSTM(Module):
         count = x.shape[-2] * x.shape[-1]
         return total * (1.0 / count)
 
-    def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        """Evaluation logits with shape ``(batch, time, vocab)``."""
+    def logit_steps(self, x: np.ndarray) -> Iterator[np.ndarray]:
+        """Evaluation logits one timestep at a time, each ``(batch, vocab)``:
+        the LSTM runs once, each step is decoded when it is asked for."""
         with no_grad():
             hiddens = self._hidden_sequence(x)
-            return np.stack([self._decode(h).numpy() for h in hiddens], axis=-2)
+        for h in hiddens:
+            with no_grad():
+                logits = self._decode(h).numpy()
+            yield logits
+
+    def predict_logits(self, x: np.ndarray) -> np.ndarray:
+        """Evaluation logits with shape ``(batch, time, vocab)``."""
+        return np.stack(list(self.logit_steps(x)), axis=-2)
 
 
 def build_model(spec: dict, rng: np.random.Generator) -> Module:

@@ -225,3 +225,8 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
+
+    def logit_steps(self, x: np.ndarray) -> Iterator[np.ndarray]:
+        """Evaluation logits streamed as ``(batch, classes)`` steps; a
+        classifier has one, its ``predict_logits``."""
+        yield self.predict_logits(x)

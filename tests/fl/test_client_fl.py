@@ -214,20 +214,35 @@ class TestChunking:
         assert stacked == single
 
     def test_chunk_size_follows_the_byte_budget(self, monkeypatch, tiny_image_task, rng):
+        """The chunk is the budget over one client's mean op size."""
         model = build_model(tiny_image_task.model_spec, rng)
         batcher = tiny_image_task.batcher(0, 8, rng)
-        per_client = fl_client._working_set_bytes(model, batcher)
-        assert per_client > 0
-        monkeypatch.setattr(fl_client, "_CHUNK_BYTES", 5 * per_client + 1)
+        op = fl_client._op_bytes(model, batcher)
+        # the MLP's owning ops: matmul+bias, relu, matmul+bias (8 x 8 and
+        # 8 x 4 float64 outputs) and the scalar per-client loss
+        assert op == (8 * 8 * 8 * 2 + 8 * 4 * 8 + 8) // 4
+        monkeypatch.setattr(fl_client, "_CHUNK_BYTES", 5 * op + 1)
         assert chunk_size(model, batcher) == 5
         monkeypatch.setattr(fl_client, "_CHUNK_BYTES", 0)
         assert chunk_size(model, batcher) == 1
+
+    def test_ops_grow_with_the_model_and_shrink_the_chunk(self, tiny_text_task, rng):
+        """A wider word LSTM has bigger ops, so fewer clients per chunk."""
+        batcher = tiny_text_task.batcher(0, 4, rng)
+        spec = dict(tiny_text_task.model_spec)
+        sizes = []
+        for width in (8, 64):
+            spec.update(embed_dim=width, hidden_size=width)
+            model = build_model(spec, np.random.default_rng(0))
+            sizes.append((fl_client._op_bytes(model, batcher), chunk_size(model, batcher)))
+        (small_op, small_chunk), (big_op, big_chunk) = sizes
+        assert big_op > small_op and big_chunk < small_chunk
 
     def test_probe_leaves_the_batcher_stream_alone(self, tiny_image_task):
         model = build_model(tiny_image_task.model_spec, np.random.default_rng(0))
         fresh = tiny_image_task.batcher(0, 8, np.random.default_rng(5))
         probed = tiny_image_task.batcher(0, 8, np.random.default_rng(5))
-        fl_client._WORKING_SETS.clear()
+        fl_client._OP_BYTES.clear()
         chunk_size(model, probed)
         for a, b in zip(fresh.next_batch(), probed.next_batch()):
             np.testing.assert_array_equal(a, b)
@@ -265,9 +280,9 @@ class TestFederatedMethodBase:
 class TestEvaluate:
     def test_perfect_model_scores_one(self, tiny_image_task, rng):
         class Oracle:
-            def predict_logits(self, x):
+            def logit_steps(self, x):
                 # peak at the true class via nearest prototype reconstruction
-                return x @ protos.T
+                yield x @ protos.T
 
         xs, ys = tiny_image_task.test_data
         protos = np.stack([xs[ys == c].mean(axis=0) for c in range(4)])
@@ -276,8 +291,9 @@ class TestEvaluate:
 
     def test_uniform_model_matches_chance(self, tiny_text_task):
         class Uniform:
-            def predict_logits(self, x):
-                return np.zeros(x.shape + (12,))
+            def logit_steps(self, x):
+                for _ in range(x.shape[1]):
+                    yield np.zeros((x.shape[0], 12))
 
         loss, acc = evaluate(Uniform(), tiny_text_task)
         assert loss == pytest.approx(np.log(12), rel=1e-6)

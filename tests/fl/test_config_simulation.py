@@ -42,6 +42,14 @@ class TestFLConfig:
         with pytest.raises(ValueError, match="batch_size"):
             FLConfig(batch_size=batch_size)
 
+    @pytest.mark.parametrize(
+        "field", ["rounds", "local_iterations", "tau", "eval_every", "eval_batch_size"]
+    )
+    @pytest.mark.parametrize("value", [0, -1, 2.5, 2.0, None, True, "3"])
+    def test_counts_must_be_positive_ints(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FLConfig(**{field: value})
+
     def test_integer_like_values_accepted(self):
         cfg = FLConfig(workers=np.int64(2), batch_size=np.int32(1))
         assert cfg.workers == 2 and cfg.batch_size == 1
